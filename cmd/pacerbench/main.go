@@ -3,20 +3,22 @@
 //
 // Usage:
 //
-//	pacerbench [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|frontend|arena|fasttrack|clocks|contention|ingest]
+//	pacerbench [-experiment all|table1|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|lineage|ablation|frontend|arena|fasttrack|clocks|contention|ingest]
 //	           [-bench eclipse|hsqldb|xalan|pseudojbb] [-scale 0.2] [-seed 0]
 //
-// The frontend, arena, and fasttrack experiments are different in kind:
-// they measure the real wall-clock behavior of the concurrent public API
-// on this machine. frontend compares the sharded lock-free front-end
-// against the single-mutex baseline across goroutine counts (with
-// allocations/op and metadata-words columns); arena compares the
-// slab-allocated metadata arena (Options.Arena) against the default heap
-// allocator; fasttrack compares the always-on FASTTRACK backend mounted
-// sharded against the same backend driven serialized; contention runs
-// FASTTRACK on shared-read and sync-heavy mixes three ways — serialized,
-// sharded without the owned-access path, and the full sharded mount with
-// CAS read-map updates. The ingest experiment load-tests the production
+// The frontend, arena, fasttrack, clocks, and contention experiments are
+// different in kind: they measure the real wall-clock behavior of the
+// concurrent public API on this machine (see harness.Slices). frontend
+// compares the sharded lock-free front-end against the single-mutex
+// baseline across goroutine counts, then backends through the identical
+// front-end; arena compares the slab-allocated metadata arena
+// (Options.Arena) against the default heap allocator; fasttrack compares
+// the always-on FASTTRACK backend mounted sharded against the same
+// backend driven serialized; clocks compares flat and tree clocks on every
+// Clock-aware backend at growing clock width; contention runs FASTTRACK on
+// shared-read and sync-heavy mixes three ways — serialized, sharded
+// without the owned-access path, and the full sharded mount with CAS
+// read-map updates. The ingest experiment load-tests the production
 // ingest tier (internal/ingest): thousands of simulated reporters with
 // fault injection and a graceful mid-run collector restart, asserting
 // bounded state memory, zero triage loss, and the delta-push size win.
@@ -24,6 +26,8 @@
 // -scale multiplies the paper's trial counts (1.0 reproduces the full
 // protocol: 50 fully sampled trials per benchmark, up to 500 trials per
 // sampling rate, and so on; the default 0.2 finishes in a few minutes).
+// The wall-clock experiments scale their per-worker operation counts the
+// same way, down to a floor of a tenth of scale 1.
 package main
 
 import (
@@ -38,9 +42,15 @@ import (
 	"pacer/internal/workload"
 )
 
+// experiments lists every -experiment name; the flag help, the
+// unknown-name error, and the package doc (TestDocListsExperiments) all
+// follow it.
+var experiments = append(append([]string{"table1", "table2", "table3", "fig3", "fig4", "fig5",
+	"fig6", "fig7", "fig8", "fig9", "fig10", "lineage", "ablation"}, harness.WallClock...), "ingest")
+
 func main() {
-	experiment := flag.String("experiment", "all",
-		"experiment to run: all, table1, table2, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, ablation, frontend, arena, fasttrack, clocks, contention, ingest")
+	names := "all, " + strings.Join(experiments, ", ")
+	experiment := flag.String("experiment", "all", "experiment to run: "+names)
 	benchName := flag.String("bench", "", "restrict to one benchmark (eclipse, hsqldb, xalan, pseudojbb)")
 	scale := flag.Float64("scale", 0.2, "trial-count scale factor (1.0 = the paper's protocol)")
 	seed := flag.Int64("seed", 0, "base seed for all trials")
@@ -197,46 +207,15 @@ func main() {
 		r.Render(os.Stdout)
 		return nil
 	})
-	section("frontend", func() error {
-		ops := int(200_000 * *scale)
-		if ops < 20_000 {
-			ops = 20_000
-		}
-		harness.Frontend(harness.FrontendConfig{Ops: ops}).Render(os.Stdout)
-		return nil
-	})
-	section("arena", func() error {
-		ops := int(200_000 * *scale)
-		if ops < 20_000 {
-			ops = 20_000
-		}
-		harness.Arena(harness.ArenaConfig{Ops: ops}).Render(os.Stdout)
-		return nil
-	})
-	section("fasttrack", func() error {
-		ops := int(200_000 * *scale)
-		if ops < 20_000 {
-			ops = 20_000
-		}
-		harness.FastTrackScaling(harness.FastTrackConfig{Ops: ops}).Render(os.Stdout)
-		return nil
-	})
-	section("clocks", func() error {
-		ops := int(100_000 * *scale)
-		if ops < 10_000 {
-			ops = 10_000
-		}
-		harness.Clocks(harness.ClocksConfig{Ops: ops}).Render(os.Stdout)
-		return nil
-	})
-	section("contention", func() error {
-		ops := int(200_000 * *scale)
-		if ops < 20_000 {
-			ops = 20_000
-		}
-		harness.Contention(harness.ContentionConfig{Ops: ops}).Render(os.Stdout)
-		return nil
-	})
+	for _, name := range harness.WallClock {
+		section(name, func() error {
+			for _, sl := range harness.Slices(name) {
+				ops := max(int(float64(sl.Ops)**scale), sl.Ops/10)
+				sl.Run(ops).Render(os.Stdout)
+			}
+			return nil
+		})
+	}
 	section("ingest", func() error {
 		reporters := int(5000 * *scale)
 		if reporters < 100 {
@@ -261,9 +240,7 @@ func main() {
 	})
 
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "pacerbench: unknown experiment %q (try: %s)\n",
-			*experiment, strings.Join([]string{"all", "table1", "table2", "table3",
-				"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation", "lineage", "frontend", "arena", "fasttrack", "clocks", "contention", "ingest"}, ", "))
+		fmt.Fprintf(os.Stderr, "pacerbench: unknown experiment %q (try: %s)\n", *experiment, names)
 		os.Exit(2)
 	}
 	fmt.Printf("pacerbench: done in %v (scale %.2f)\n", time.Since(start).Round(time.Millisecond), *scale)

@@ -24,24 +24,20 @@ import (
 	"pacer/internal/o1samples"
 )
 
-// Config carries the cross-backend construction knobs. Backends ignore the
-// fields they have no use for.
+// Config carries the backend-neutral construction knobs. Backends ignore
+// the fields they have no use for.
 type Config struct {
 	// Seed drives any randomized behavior (LITERACE's burst resets).
 	// 0 means the backend's own default.
 	Seed int64
-	// Core tunes the PACER backend (sharding, ablation switches). The
-	// FASTTRACK backend adopts its Shards and Arena knobs too, so the
-	// front-end's Options.Shards/Arena reach both sharded backends.
-	Core core.Options
-	// LiteRace overrides the LITERACE sampler options; the zero value
-	// selects the paper's defaults with Seed applied.
-	LiteRace literace.Options
-	// EpochFastIndexCap bounds the FASTTRACK backend's direct-indexed
-	// variable table behind the lock-free same-epoch fast path (0 means
-	// the backend default, negative disables the index). Variables past
-	// the cap still detect races through the locked path.
-	EpochFastIndexCap int
+	// Shards is the variable-metadata shard count of sharded backends
+	// (rounded up to a power of two; 0 selects the default).
+	Shards int
+	// Arena backs the metadata of arena-capable backends with a slab arena.
+	Arena bool
+	// Clock selects the timestamp representation of clock-aware backends
+	// ("pacer", "fasttrack", "o1samples"): "" or "flat", or "tree".
+	Clock string
 	// DisableOwnedFastPath ablates the FASTTRACK backend's owned-access
 	// (CAS read-map) fast path, leaving the epoch mirrors active.
 	DisableOwnedFastPath bool
@@ -99,15 +95,18 @@ func Names() []string {
 
 func init() {
 	Register("pacer", func(report detector.Reporter, cfg Config) detector.Detector {
-		return core.NewWithOptions(report, cfg.Core)
+		return core.NewWithOptions(report, core.Options{
+			Shards: cfg.Shards,
+			Arena:  cfg.Arena,
+			Clock:  cfg.Clock,
+		})
 	})
 	Register("fasttrack", func(report detector.Reporter, cfg Config) detector.Detector {
 		return fasttrack.NewWithOptions(report, fasttrack.Options{
-			Shards:               cfg.Core.Shards,
-			Arena:                cfg.Core.Arena,
-			IndexCap:             cfg.EpochFastIndexCap,
+			Shards:               cfg.Shards,
+			Arena:                cfg.Arena,
 			DisableOwnedFastPath: cfg.DisableOwnedFastPath,
-			Clock:                cfg.Core.Clock,
+			Clock:                cfg.Clock,
 		})
 	})
 	Register("generic", func(report detector.Reporter, _ Config) detector.Detector {
@@ -115,31 +114,26 @@ func init() {
 	})
 	djitFactory := func(report detector.Reporter, cfg Config) detector.Detector {
 		return djit.NewWithOptions(report, djit.Options{
-			Shards: cfg.Core.Shards,
-			Arena:  cfg.Core.Arena,
+			Shards: cfg.Shards,
+			Arena:  cfg.Arena,
 		})
 	}
 	Register("djit", djitFactory)
 	Register("djit+", djitFactory) // the detector's own Name()
 	Register("literace", func(report detector.Reporter, cfg Config) detector.Detector {
-		o := cfg.LiteRace
-		if o == (literace.Options{}) {
-			o = literace.DefaultOptions()
-		}
+		o := literace.DefaultOptions()
 		if cfg.Seed != 0 {
 			o.Seed = cfg.Seed
 		}
-		o.Shards = cfg.Core.Shards
-		o.Arena = cfg.Core.Arena
-		o.IndexCap = cfg.EpochFastIndexCap
+		o.Shards = cfg.Shards
+		o.Arena = cfg.Arena
 		return literace.New(report, o)
 	})
 	Register("o1samples", func(report detector.Reporter, cfg Config) detector.Detector {
 		return o1samples.NewWithOptions(report, o1samples.Options{
-			Shards:   cfg.Core.Shards,
-			Arena:    cfg.Core.Arena,
-			IndexCap: cfg.EpochFastIndexCap,
-			Clock:    cfg.Core.Clock,
+			Shards: cfg.Shards,
+			Arena:  cfg.Arena,
+			Clock:  cfg.Clock,
 		})
 	})
 	Register("goldilocks", func(report detector.Reporter, _ Config) detector.Detector {

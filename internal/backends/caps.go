@@ -3,7 +3,6 @@ package backends
 import (
 	"fmt"
 
-	"pacer/internal/core"
 	"pacer/internal/detector"
 )
 
@@ -19,7 +18,7 @@ type Caps struct {
 	// Sharded reports the concurrent mount (detector.Sharded): false means
 	// the front-end drives the backend fully serialized.
 	Sharded bool
-	// Arena reports that Config.Core.Arena actually enables a slab arena
+	// Arena reports that Config.Arena actually enables a slab arena
 	// (detector.ArenaAccounted with an enabled arena), not merely that the
 	// interface exists.
 	Arena bool
@@ -36,7 +35,7 @@ type Caps struct {
 // Probe constructs the named backend (with the arena requested, so the
 // Arena field reports real adoption) and reports its capability surface.
 func Probe(name string) (Caps, error) {
-	d, err := New(name, nil, Config{Core: core.Options{Arena: true}})
+	d, err := New(name, nil, Config{Arena: true})
 	if err != nil {
 		return Caps{}, err
 	}

@@ -102,8 +102,8 @@ func TestDifferentialArenaShardedBackends(t *testing.T) {
 				replay := func(arena bool) []detector.Race {
 					c := dtest.Run(trace, func(rep detector.Reporter) detector.Detector {
 						d, err := backends.New(algo, rep, backends.Config{
-							Seed: seed,
-							Core: core.Options{Arena: arena},
+							Seed:  seed,
+							Arena: arena,
 						})
 						if err != nil {
 							t.Fatalf("backend %q not in registry: %v", algo, err)

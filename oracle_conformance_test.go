@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pacer"
+	"pacer/internal/detector/shardbase"
 	"pacer/internal/event"
 	"pacer/internal/oracle"
 	"pacer/internal/tracegen"
@@ -405,20 +406,19 @@ func TestConformanceShardInvariance(t *testing.T) {
 	}
 }
 
-// TestFastTrackVarCapFrontEnd pins the Options.EpochFastVarCap plumbing:
-// with a tiny cap, variables past the cap still detect races (through the
-// locked path) and the lock-free same-epoch fast path engages only for
-// variables below the cap.
+// TestFastTrackVarCapFrontEnd pins the direct-index cap through the
+// front-end: variables past shardbase.DefaultIndexCap still detect races
+// (through the locked path) and the lock-free same-epoch fast path engages
+// only for variables below the cap.
 func TestFastTrackVarCapFrontEnd(t *testing.T) {
 	var races []pacer.Race
 	d := pacer.New(pacer.Options{
-		Algorithm:       "fasttrack",
-		EpochFastVarCap: 4,
-		OnRace:          func(r pacer.Race) { races = append(races, r) },
+		Algorithm: "fasttrack",
+		OnRace:    func(r pacer.Race) { races = append(races, r) },
 	})
 	t0 := d.NewThread()
 	t1 := d.Fork(t0)
-	low, high := pacer.VarID(1), pacer.VarID(1000)
+	low, high := pacer.VarID(1), pacer.VarID(shardbase.DefaultIndexCap+1000)
 
 	// Same-epoch repeats on the low variable engage the lock-free fast
 	// path; the high variable must never (it is past the cap).

@@ -71,7 +71,6 @@ import (
 	"time"
 
 	"pacer/internal/backends"
-	"pacer/internal/core"
 	"pacer/internal/detector"
 	"pacer/internal/event"
 	"pacer/internal/vclock"
@@ -146,10 +145,6 @@ type Options struct {
 	// concurrent callers the roll sequence is still deterministic, but
 	// which operations land in which period depends on scheduling.)
 	Seed int64
-	// Core tunes the underlying PACER algorithm; the zero value is the
-	// full published algorithm. Mainly for ablation studies. Ignored by
-	// other backends.
-	Core core.Options
 	// Budget, when TargetOverhead is nonzero, replaces the fixed
 	// SamplingRate with an adaptive controller that keeps the measured
 	// analysis overhead near the target (see BudgetOptions). Only
@@ -164,8 +159,7 @@ type Options struct {
 	// Shards is the number of variable-metadata shards (rounded up to a
 	// power of two; default 64). More shards admit more parallelism during
 	// sampling periods and a finer-grained fast-path presence filter, at a
-	// small fixed memory cost per detector. Overrides Core.Shards when
-	// nonzero.
+	// small fixed memory cost per detector.
 	Shards int
 	// Arena backs the default backend's metadata (vector clocks and
 	// per-variable records) with a slab arena striped across the variable
@@ -182,17 +176,8 @@ type Options struct {
 	// entries that actually changed instead of the thread count — see
 	// docs/clocks.md. Race reports are identical either way (the
 	// conformance matrix enforces this); only the cost model changes.
-	// Overrides Core.Clock when set. Ignored by other backends.
+	// Ignored by other backends.
 	Clock string
-	// EpochFastVarCap bounds the direct-indexed variable table behind the
-	// lock-free same-epoch fast path of backends that expose one
-	// (FASTTRACK): variables with identifiers at or above the cap are
-	// analyzed through the locked path instead — same reports, no
-	// fast-path table growth. 0 keeps the backend default (1<<22);
-	// negative disables the index. Useful when variable identifiers are
-	// drawn from a huge sparse space (e.g. hashed addresses) and the
-	// table's worst-case memory must stay bounded.
-	EpochFastVarCap int
 	// DisableOwnedFastPath turns off the owned-access (CAS read-map)
 	// dismissal of backends that expose one (FASTTRACK): the SmartTrack-
 	// style path that claims a per-variable ownership word and performs the
@@ -403,24 +388,15 @@ func New(opts Options) *Detector {
 	if opts.Budget.TargetOverhead > 0 {
 		det.budget = newBudgetState(opts.Budget, opts.SamplingRate)
 	}
-	copts := opts.Core
-	if opts.Shards > 0 {
-		copts.Shards = opts.Shards
-	}
-	if opts.Arena {
-		copts.Arena = true
-	}
-	if opts.Clock != "" {
-		copts.Clock = opts.Clock
-	}
 	back, err := backends.New(opts.Algorithm, func(r detector.Race) {
 		if opts.OnRace != nil {
 			opts.OnRace(r)
 		}
 	}, backends.Config{
 		Seed:                 opts.Seed,
-		Core:                 copts,
-		EpochFastIndexCap:    opts.EpochFastVarCap,
+		Shards:               opts.Shards,
+		Arena:                opts.Arena,
+		Clock:                opts.Clock,
 		DisableOwnedFastPath: opts.DisableOwnedFastPath,
 	})
 	if err != nil {
@@ -686,133 +662,29 @@ func (p *Detector) NewVarID() VarID {
 	return id
 }
 
-// tryFast attempts the lock-free non-sampling dismissal of an access: if
-// the sampling-state word reads "not sampling" both before and after the
-// metadata presence filter reads "no metadata", then at the instant of the
-// presence load the serialized detector would have done nothing for this
-// operation, so it is dismissed having only bumped sharded counters.
-// When a TraceSink is configured the probe runs under the sink lock, so
-// the recorded position is exactly that linearization instant. Callers
-// have already established that the backend is sharded (p.serialized is
-// false only then).
-func (p *Detector) tryFast(t ThreadID, v VarID, s SiteID, method uint32, write bool) bool {
+// dismiss completes an access on a lock-free path when probe proves the
+// serialized detector's analysis of it needs no lock: only the sharded
+// fast counters and the period clock are bumped. With a TraceSink
+// configured the probe runs under the sink lock, so the recorded position
+// is exactly the probe's linearization instant — including for probes that
+// mutate backend state, whose slow-path counterpart holds the same lock
+// across its backend call (see access).
+func (p *Detector) dismiss(t ThreadID, v VarID, s SiteID, method uint32, write bool, probe func() bool) bool {
 	if p.opts.TraceSink != nil {
 		p.sinkMu.Lock()
-		st := p.sharded.StateWord()
-		if st&1 != 0 || p.sharded.MetaPossible(v) || p.sharded.StateWord() != st {
+		if !probe() {
 			p.sinkMu.Unlock()
 			return false
 		}
 		p.opts.TraceSink(accessEvent(t, v, s, method, write))
 		p.sinkMu.Unlock()
-	} else {
-		st := p.sharded.StateWord()
-		if st&1 != 0 || p.sharded.MetaPossible(v) || p.sharded.StateWord() != st {
-			return false
-		}
-	}
-	shard := p.sharded.ShardOf(v)
-	if write {
-		p.fastWrites.Inc(shard)
-	} else {
-		p.fastReads.Inc(shard)
-	}
-	p.countOp(t)
-	return true
-}
-
-// tryBurstSkip attempts the lock-free burst-sampler dismissal of an
-// access: backends exposing detector.BurstSampler (LITERACE) can consume a
-// per-(method, thread) skip decision without the epoch lock, so accesses
-// of a method whose sampler has gone cold never serialize on it. As with
-// tryFast, the dismissal bumps only the sharded fast counters and the
-// period clock; with a TraceSink configured, the decision is taken under
-// the sink lock so the recorded position is its linearization instant
-// (per-key decisions are interleaving-independent, so a serialized replay
-// reproduces them). Disabled by Options.Serialized (p.burst stays nil).
-func (p *Detector) tryBurstSkip(t ThreadID, v VarID, s SiteID, method uint32, write bool) bool {
-	if p.opts.TraceSink != nil {
-		p.sinkMu.Lock()
-		if !p.burst.TrySkip(method, t) {
-			p.sinkMu.Unlock()
-			return false
-		}
-		p.opts.TraceSink(accessEvent(t, v, s, method, write))
-		p.sinkMu.Unlock()
-	} else if !p.burst.TrySkip(method, t) {
+	} else if !probe() {
 		return false
 	}
 	shard := 0
 	if p.sharded != nil {
 		shard = p.sharded.ShardOf(v)
 	}
-	if write {
-		p.fastWrites.Inc(shard)
-	} else {
-		p.fastReads.Inc(shard)
-	}
-	p.countOp(t)
-	return true
-}
-
-// tryEpochFast attempts the lock-free same-epoch dismissal: backends
-// exposing detector.EpochFast (FASTTRACK) publish per-variable epoch
-// mirrors that prove an access repeats the variable's current epoch, so
-// the analysis — a guaranteed no-op — can be skipped without the epoch
-// lock. This is how an always-on detector's dominant case scales: the
-// no-metadata dismissal (tryFast) never applies to it, but the same-epoch
-// dismissal is exactly FastTrack's own fast path served lock-free. As
-// with the other dismissals, only the sharded fast counters and the
-// period clock are bumped; with a TraceSink configured the probe runs
-// under the sink lock so the recorded position is its linearization
-// instant. Disabled by Options.Serialized (p.epoch stays nil).
-func (p *Detector) tryEpochFast(t ThreadID, v VarID, s SiteID, method uint32, write bool) bool {
-	if p.opts.TraceSink != nil {
-		p.sinkMu.Lock()
-		if !p.epoch.TrySameEpoch(t, v, write) {
-			p.sinkMu.Unlock()
-			return false
-		}
-		p.opts.TraceSink(accessEvent(t, v, s, method, write))
-		p.sinkMu.Unlock()
-	} else if !p.epoch.TrySameEpoch(t, v, write) {
-		return false
-	}
-	shard := p.sharded.ShardOf(v)
-	if write {
-		p.fastWrites.Inc(shard)
-	} else {
-		p.fastReads.Inc(shard)
-	}
-	p.countOp(t)
-	return true
-}
-
-// tryOwned attempts the lock-free owned-access dismissal: backends
-// exposing detector.OwnedAccess (FASTTRACK) claim the variable's ownership
-// word with one CompareAndSwap and, when the analysis finds no race,
-// perform the full metadata update in place — serving what the same-epoch
-// mirrors cannot, chiefly the shared-read case whose multi-entry read map
-// publishes no mirror and would otherwise serialize every reader on the
-// variable's shard lock. Unlike the other lock-free dismissals this one
-// mutates backend state, so with a TraceSink configured the claim runs
-// under the sink lock and the slow path holds the same lock across its
-// backend call (see access), keeping the recorded order identical to the
-// metadata mutation order. Disabled by Options.Serialized and
-// Options.DisableOwnedFastPath (p.owned stays nil).
-func (p *Detector) tryOwned(t ThreadID, v VarID, s SiteID, method uint32, write bool) bool {
-	if p.opts.TraceSink != nil {
-		p.sinkMu.Lock()
-		if !p.owned.TryOwnedAccess(t, v, s, write) {
-			p.sinkMu.Unlock()
-			return false
-		}
-		p.opts.TraceSink(accessEvent(t, v, s, method, write))
-		p.sinkMu.Unlock()
-	} else if !p.owned.TryOwnedAccess(t, v, s, write) {
-		return false
-	}
-	shard := p.sharded.ShardOf(v)
 	if write {
 		p.fastWrites.Inc(shard)
 	} else {
@@ -845,16 +717,35 @@ func (p *Detector) samplingLocked() bool {
 // only create metadata), which keeps the recorded order consistent with
 // the lock-free probes.
 func (p *Detector) access(t ThreadID, v VarID, s SiteID, method uint32, write bool) {
-	if !p.serialized && p.tryFast(t, v, s, method, write) {
+	// No metadata, not sampling: if the state word reads "not sampling"
+	// both before and after the presence filter reads "no metadata", the
+	// serialized detector would have done nothing at the presence load.
+	if !p.serialized && p.dismiss(t, v, s, method, write, func() bool {
+		st := p.sharded.StateWord()
+		return st&1 == 0 && !p.sharded.MetaPossible(v) && p.sharded.StateWord() == st
+	}) {
 		return
 	}
-	if p.epoch != nil && p.tryEpochFast(t, v, s, method, write) {
+	// Same epoch (FASTTRACK): the published mirrors prove the access
+	// repeats the variable's current epoch, so its analysis is a no-op.
+	if p.epoch != nil && p.dismiss(t, v, s, method, write, func() bool {
+		return p.epoch.TrySameEpoch(t, v, write)
+	}) {
 		return
 	}
-	if p.owned != nil && p.tryOwned(t, v, s, method, write) {
+	// Owned access (FASTTRACK): the CAS-claimed ownership word makes the
+	// in-place analysis and metadata update exclusive, as the shard lock
+	// would; the claim fails on any doubt, leaving the metadata untouched.
+	if p.owned != nil && p.dismiss(t, v, s, method, write, func() bool {
+		return p.owned.TryOwnedAccess(t, v, s, write)
+	}) {
 		return
 	}
-	if p.burst != nil && p.tryBurstSkip(t, v, s, method, write) {
+	// Burst skip (LITERACE): per-(method, thread) skip decisions do not
+	// depend on the interleaving, so a serialized replay reproduces them.
+	if p.burst != nil && p.dismiss(t, v, s, method, write, func() bool {
+		return p.burst.TrySkip(method, t)
+	}) {
 		return
 	}
 	p.ensureThread(t)
