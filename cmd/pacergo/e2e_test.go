@@ -166,6 +166,25 @@ func TestPlantedSilentAtRateZero(t *testing.T) {
 	}
 }
 
+// TestRateOutsideUnitIntervalIsUsageError: -rate must be a number in
+// [0,1]. NaN parses as a float but would sample nothing, so it is refused
+// up front with the usage exit code, before anything is instrumented.
+func TestRateOutsideUnitIntervalIsUsageError(t *testing.T) {
+	for _, r := range []string{"NaN", "-0.1", "1.5", "Inf"} {
+		cmd := exec.Command(pacergoBin, "-rate="+r, "run", "./examples/planted")
+		cmd.Dir = repoRoot
+		out, err := cmd.CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Errorf("-rate=%s: err %v, want usage exit 2\n%s", r, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "is not in [0,1]") {
+			t.Errorf("-rate=%s: output lacks the range message:\n%s", r, out)
+		}
+	}
+}
+
 // TestProgramsMatchOracleLabels runs every ported scenario program under
 // testdata/programs at rate 1 and checks the verdict against the label
 // in the directory name. Directories containing a _test.go go through

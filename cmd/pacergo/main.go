@@ -49,6 +49,11 @@ func main() {
 		fs.PrintDefaults()
 	}
 	fs.Parse(os.Args[1:])
+	if !(*rate >= 0 && *rate <= 1) { // the negated form also rejects NaN
+		fmt.Fprintf(os.Stderr, "pacergo: -rate %g is not in [0,1]\n", *rate)
+		fs.Usage()
+		os.Exit(2)
+	}
 	args := fs.Args()
 	if len(args) < 2 {
 		fs.Usage()

@@ -2,7 +2,6 @@ package rt
 
 import (
 	"runtime"
-	"sync"
 
 	"pacer"
 )
@@ -16,10 +15,15 @@ import (
 // edge — conservative in the direction of reporting, since missing edges
 // can only make accesses look concurrent.
 //
-// The goroutine id comes from parsing the runtime.Stack header, the only
-// portable, dependency-free source of goroutine identity. It costs about
-// a microsecond per hook; the successor papers' cheaper timestamping is
-// exactly the follow-up work this front door exists to measure.
+// Every hook starts by asking which goroutine is running. On amd64 and
+// arm64 goid reads the id straight out of the runtime's g: a tiny
+// assembly stub returns the g pointer, and the field's byte offset is
+// found once at Init by matching g words against the runtime.Stack
+// header of three live helper goroutines, so no Go release's layout is
+// baked in. That read costs about 2ns and allocates nothing. Where there
+// is no stub, or the probe finds no matching offset, goid falls back to
+// parsing the runtime.Stack header (stackGoid): correct everywhere, but
+// 2-9µs per hook, serialized under the runtime's print lock.
 
 // G is one instrumented goroutine's identity: the detector thread it
 // operates as.
@@ -30,51 +34,20 @@ type G struct {
 // Thread returns the detector thread this goroutine operates as.
 func (g *G) Thread() pacer.ThreadID { return g.t }
 
-const gShards = 64
+// goroutines maps goroutine id → *G. Hooks hit it once per operation on
+// the shadow map's lock-free path; binds and evictions are
+// per-goroutine-lifetime events. Goroutine ids start at 1, so no id
+// collides with the map's empty-slot key 0.
+var goroutines = NewShadowMap[G]()
 
-// gRegistry stripes goid → *G. Hooks hit it once per operation with a
-// read lock; binds and unbinds are per-goroutine-lifetime events.
-type gRegistry struct {
-	shards [gShards]struct {
-		mu sync.RWMutex
-		m  map[int64]*G
-		_  [24]byte
-	}
-}
+// goidOffset is goid's byte offset in the runtime g, or 0 when goid must
+// parse the stack header instead (g begins with its stack bounds, so 0
+// is never the real offset). Init sets it once, before any hook reads it.
+var goidOffset uintptr
 
-var goroutines = func() *gRegistry {
-	r := &gRegistry{}
-	for i := range r.shards {
-		r.shards[i].m = make(map[int64]*G)
-	}
-	return r
-}()
-
-func (r *gRegistry) get(id int64) *G {
-	sh := &r.shards[uint64(id)&(gShards-1)]
-	sh.mu.RLock()
-	g := sh.m[id]
-	sh.mu.RUnlock()
-	return g
-}
-
-func (r *gRegistry) put(id int64, g *G) {
-	sh := &r.shards[uint64(id)&(gShards-1)]
-	sh.mu.Lock()
-	sh.m[id] = g
-	sh.mu.Unlock()
-}
-
-func (r *gRegistry) drop(id int64) {
-	sh := &r.shards[uint64(id)&(gShards-1)]
-	sh.mu.Lock()
-	delete(sh.m, id)
-	sh.mu.Unlock()
-}
-
-// goid parses the current goroutine's id from the runtime.Stack header
-// ("goroutine 123 [running]:").
-func goid() int64 {
+// stackGoid parses the current goroutine's id from the runtime.Stack
+// header ("goroutine 123 [running]:").
+func stackGoid() int64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
 	// len("goroutine ") == 10.
@@ -91,13 +64,11 @@ func goid() int64 {
 // current returns the calling goroutine's identity, registering it as a
 // root thread on first sight.
 func current() *G {
-	id := goid()
-	if g := goroutines.get(id); g != nil {
+	id := uintptr(goid())
+	if g := goroutines.Get(id); g != nil {
 		return g
 	}
-	g := &G{t: D().NewThread()}
-	goroutines.put(id, g)
-	return g
+	return goroutines.SetIfAbsent(id, func() *G { return &G{t: D().NewThread()} })
 }
 
 // GoSpawn runs in the parent goroutine at a `go` statement, immediately
@@ -113,12 +84,13 @@ func GoSpawn() *G {
 // GoStart runs first in a spawned goroutine, binding the handle GoSpawn
 // made to the new goroutine's runtime identity.
 func GoStart(g *G) {
-	goroutines.put(goid(), g)
+	goroutines.SetIfAbsent(uintptr(goid()), func() *G { return g })
 }
 
 // GoExit runs (deferred) last in a spawned goroutine, releasing its
-// registry entry so the runtime id can be reused by an unrelated
-// goroutine without inheriting this thread's identity.
+// registry entry. The runtime never reuses a goroutine id, so the entry
+// could never be hit again; evicting it keeps the registry bounded by
+// live instrumented goroutines.
 func GoExit() {
-	goroutines.drop(goid())
+	goroutines.Evict(uintptr(goid()))
 }

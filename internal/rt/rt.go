@@ -3,6 +3,7 @@ package rt
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strconv"
@@ -75,7 +76,8 @@ func envStr(key, def string) string {
 
 func envFloat(key string, def float64) float64 {
 	if v := os.Getenv(key); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil {
+		// ParseFloat accepts "NaN" and "Inf"; neither is a usable setting.
+		if f, err := strconv.ParseFloat(v, 64); err == nil && !math.IsNaN(f) && !math.IsInf(f, 0) {
 			return f
 		}
 		fmt.Fprintf(os.Stderr, "pacer/rt: ignoring malformed %s=%q\n", key, v)
@@ -121,6 +123,7 @@ func envBool(key string) bool {
 func Init() { initOnce.Do(initState) }
 
 func initState() {
+	goidOffset = probeGoidOffset()
 	s := &runtimeState{
 		vars:  NewShadowMap[varEntry](),
 		syncs: NewShadowMap[syncObj](),

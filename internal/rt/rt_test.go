@@ -34,14 +34,16 @@ func testSite(t *testing.T) int {
 // GoStart/GoExit in the child) and returns after it finishes. The join
 // uses a plain channel with no rt hooks, so the detector sees no
 // happens-before edge back to the parent — exactly the shape of a racy
-// program whose second access happens to run later in wall time.
+// program whose second access happens to run later in wall time. The
+// child's GoExit finishes before the join, so registry counts are settled
+// when spawn returns.
 func spawn(body func()) {
 	g := GoSpawn()
 	done := make(chan struct{})
 	go func() {
 		GoStart(g)
-		defer GoExit()
 		defer close(done)
+		defer GoExit()
 		body()
 	}()
 	<-done

@@ -124,7 +124,8 @@ type Options struct {
 	Algorithm string
 	// SamplingRate is the global sampling rate r in [0, 1]. Every race is
 	// detected with probability r; time and space overheads scale with r.
-	// 0.01-0.03 is the paper's deployment recommendation.
+	// 0.01-0.03 is the paper's deployment recommendation. Values outside
+	// [0, 1] are clamped to the nearer end; NaN counts as 0.
 	SamplingRate float64
 	// PeriodOps is the number of observed operations per sampling-decision
 	// period. The paper toggles sampling at garbage collections; without a
@@ -378,7 +379,7 @@ func New(opts Options) *Detector {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.SamplingRate < 0 {
+	if !(opts.SamplingRate >= 0) { // also NaN, which fails every comparison
 		opts.SamplingRate = 0
 	}
 	if opts.SamplingRate > 1 {

@@ -2,6 +2,7 @@ package pacer_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -186,6 +187,24 @@ func TestOptionsClamping(t *testing.T) {
 	d2.Write(t2, v, 1)
 	if d2.Stats().VarsTracked != 0 {
 		t.Error("rate not clamped to 0")
+	}
+}
+
+// TestOptionsNaNRateIsZero: a NaN rate slips past range comparisons, so
+// New must map it to 0 explicitly — reported as such, and sampling
+// nothing.
+func TestOptionsNaNRateIsZero(t *testing.T) {
+	d := pacer.New(pacer.Options{SamplingRate: math.NaN(), PeriodOps: 16})
+	if got := d.CurrentRate(); got != 0 {
+		t.Fatalf("CurrentRate() = %v, want 0", got)
+	}
+	t0 := d.NewThread()
+	v := d.NewVarID()
+	for range 1000 {
+		d.Write(t0, v, 1)
+	}
+	if st := d.Stats(); st.VarsTracked != 0 {
+		t.Errorf("NaN rate tracked %d variables, want 0", st.VarsTracked)
 	}
 }
 
