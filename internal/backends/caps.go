@@ -30,6 +30,10 @@ type Caps struct {
 	EpochFast    bool
 	OwnedAccess  bool
 	BurstSampler bool
+	// ThreadReuser reports that exited and joined threads' identifiers go
+	// to later forks (detector.ThreadReuser), so clock width follows live
+	// threads.
+	ThreadReuser bool
 }
 
 // Probe constructs the named backend (with the arena requested, so the
@@ -45,6 +49,7 @@ func Probe(name string) (Caps, error) {
 	_, c.EpochFast = d.(detector.EpochFast)
 	_, c.OwnedAccess = d.(detector.OwnedAccess)
 	_, c.BurstSampler = d.(detector.BurstSampler)
+	_, c.ThreadReuser = d.(detector.ThreadReuser)
 	if aa, ok := d.(detector.ArenaAccounted); ok {
 		_, c.Arena = aa.ArenaStats()
 	}

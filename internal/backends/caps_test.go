@@ -40,6 +40,7 @@ func TestCapabilityMatrixMatchesDocs(t *testing.T) {
 			"detector.EpochFast":    c.EpochFast,
 			"detector.OwnedAccess":  c.OwnedAccess,
 			"detector.BurstSampler": c.BurstSampler,
+			"detector.ThreadReuser": c.ThreadReuser,
 		} {
 			if mentioned := strings.Contains(row.extras, iface); mentioned != have {
 				t.Errorf("%s: docs extras %q mention %s=%v, registry probe says %v",

@@ -191,7 +191,7 @@ func TestArenaInvariantLedger(t *testing.T) {
 }
 
 // TestArenaThreadReuse drives the identifier-reuse path (fork/join heavy
-// trace) under the ledger, since ReusableThread mutates possibly-shared
+// trace) under the ledger, since reviving a slot mutates possibly-shared
 // clocks through the copy-on-write path.
 func TestArenaThreadReuse(t *testing.T) {
 	d := NewWithOptions(nil, Options{Arena: true, ArenaDebug: true})
@@ -206,7 +206,7 @@ func TestArenaThreadReuse(t *testing.T) {
 			d.Read(0, event.Var(round%5), 2, 0)
 			d.SampleEnd()
 		}
-		if got, ok := d.ReusableThread(); ok && got != u {
+		if got, ok := d.ReusableThread(0); ok && got != u {
 			t.Fatalf("round %d: reused unexpected slot %d", round, got)
 		}
 	}

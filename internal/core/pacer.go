@@ -84,10 +84,15 @@ type varShard struct {
 
 // threadMeta is the per-thread analysis state: the thread's vector clock
 // (possibly shared with synchronization objects after a shallow copy) and
-// its version vector (Appendix A.2).
+// its version vector (Appendix A.2), plus what slot reuse (reuse.go)
+// needs: the own-time of the last access that recorded an epoch naming
+// the slot, over all its incarnations, and whether the current one has
+// terminated.
 type threadMeta struct {
-	clock *vclock.VC
-	ver   *vclock.VC
+	clock      *vclock.VC
+	ver        *vclock.VC
+	lastAccess uint64
+	exited     bool
 }
 
 // syncMeta is the metadata for a lock or volatile: its clock (possibly
@@ -139,12 +144,14 @@ type Detector struct {
 	// that no transition intervened between two loads.
 	state   shardbase.State
 	threads []*threadMeta
-	dead    map[vclock.Thread]bool
-	joined  map[vclock.Thread]bool
-	locks   map[event.Lock]*syncMeta
-	vols    map[event.Volatile]*syncMeta
-	geo     shardbase.Geometry
-	shards  []varShard
+	// exited stacks the terminated slots that are reuse candidates, most
+	// recent last; live counts created threads that have not terminated.
+	exited []vclock.Thread
+	live   int
+	locks  map[event.Lock]*syncMeta
+	vols   map[event.Volatile]*syncMeta
+	geo    shardbase.Geometry
+	shards []varShard
 	// presence counts tracked variables per hash bucket, maintained
 	// increment-before-insert / delete-before-decrement so a zero read
 	// proves absence at the instant of the load.
@@ -184,7 +191,6 @@ func New(report detector.Reporter) *Detector {
 func NewWithOptions(report detector.Reporter, opts Options) *Detector {
 	geo := shardbase.NewGeometry(opts.Shards)
 	d := &Detector{
-		dead:     make(map[vclock.Thread]bool),
 		locks:    make(map[event.Lock]*syncMeta),
 		vols:     make(map[event.Volatile]*syncMeta),
 		geo:      geo,
@@ -291,7 +297,7 @@ func (d *Detector) SampleBegin() {
 	d.sampling = true
 	d.publishState()
 	for t, tm := range d.threads {
-		if tm == nil || d.dead[vclock.Thread(t)] {
+		if tm == nil || tm.exited {
 			// A terminated thread performs no further accesses, so its
 			// clock need not advance (a real VM has no thread to touch).
 			continue
@@ -302,9 +308,6 @@ func (d *Detector) SampleBegin() {
 		d.stats.Increments[detector.Sampling]++
 	}
 }
-
-// ThreadExit marks thread t terminated (detector.ThreadLifecycle).
-func (d *Detector) ThreadExit(t vclock.Thread) { d.dead[t] = true }
 
 // SampleEnd leaves the sampling period (Table 5 Rule 2). Logical time
 // freezes until the next SampleBegin. This is also the arena's bulk
@@ -372,6 +375,7 @@ func (d *Detector) thread(t vclock.Thread) *threadMeta {
 		ver := allocVC(d.vcAlloc(int(t)), int(t)+1)
 		ver.Set(t, 1)
 		d.threads[t] = &threadMeta{clock: clock, ver: ver}
+		d.live++
 	}
 	return d.threads[t]
 }
@@ -567,20 +571,32 @@ func (d *Detector) Release(t vclock.Thread, m event.Lock) {
 }
 
 // Fork implements fork(t, u) (Table 6 Rule 3): C_u ← C_u ⊔ C_t; inc(t).
+// When u names a terminated slot (see ReusableThread) the fork revives
+// it: after the join, u's own clock and version components advance
+// unconditionally, so the new thread's epochs start above every epoch the
+// slot has recorded.
 func (d *Detector) Fork(t, u vclock.Thread) {
 	d.stats.SyncOps[d.period()]++
 	tm := d.thread(t)
+	revived := d.revive(u)
 	d.joinIntoThread(u, tm.clock, d.vepochOf(t, tm))
+	if revived {
+		um := d.threads[u]
+		d.ownThreadClock(u, um)
+		um.clock.Inc(u)
+		um.ver.Inc(u)
+	}
 	d.inc(t)
 }
 
 // Join implements join(t, u) (Table 6 Rule 4): C_t ← C_t ⊔ C_u; inc(u).
+// The caller reports u's termination separately (ThreadExit), which makes
+// its slot a reuse candidate.
 func (d *Detector) Join(t, u vclock.Thread) {
 	d.stats.SyncOps[d.period()]++
 	um := d.thread(u)
 	d.joinIntoThread(t, um.clock, d.vepochOf(u, um))
 	d.inc(u)
-	d.markJoined(u)
 }
 
 // VolRead implements vol_rd(t, vx) (Table 6 Rule 5): C_t ← C_t ⊔ V_vx.
@@ -670,6 +686,7 @@ func (d *Detector) Read(t vclock.Thread, x event.Var, site event.Site, _ uint32)
 		} else {
 			m.r.Set(t, ct.Get(t), uint32(site))
 		}
+		tm.lastAccess = ct.Get(t)
 		return
 	}
 	// Non-sampling column: discard what FASTTRACK would have replaced.
@@ -735,6 +752,7 @@ func (d *Detector) Write(t vclock.Thread, x event.Var, site event.Site, _ uint32
 		m.r.Clear()
 		m.w = vclock.MakeEpoch(t, ct.Get(t))
 		m.wSite = site
+		tm.lastAccess = ct.Get(t)
 		return
 	}
 	// Non-sampling column: this write supersedes all recorded accesses as

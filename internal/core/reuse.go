@@ -1,9 +1,6 @@
 package core
 
-import (
-	"pacer/internal/event"
-	"pacer/internal/vclock"
-)
+import "pacer/internal/vclock"
 
 // Thread identifier reuse, in the spirit of the accordion clocks the paper
 // cites as the fix for its prototype's unbounded vector clock growth
@@ -12,86 +9,98 @@ import (
 // production implementation could use accordion clocks to reuse thread
 // identifiers soundly").
 //
-// A slot u may be reassigned to a brand-new thread when:
+// A thread terminates by exiting without a join, or by being joined; the
+// caller reports either with ThreadExit (after the Join, in the second
+// case). The slot u keeps its final clock F and joins a stack of
+// candidates. A thread forked by parent p may take the slot over when
+// both hold:
 //
-//  1. u has terminated (ThreadExit) and been joined (so its final time has
-//     propagated into its joiner, keeping happens-before intact), and
-//  2. no surviving metadata names u: no write epoch c@u, no read map entry
-//     by u, and no lock or volatile version epoch v@u. A stale epoch
-//     naming u could otherwise be compared against the *new* thread's
-//     clock component and silently look ordered.
+//  1. C_p[x] ≥ F[x] for every x ≠ u: p already knows everything u knew;
+//  2. C_p[u] ≥ the own-time of u's last epoch-recording access (any
+//     incarnation): every access of u happens before the fork. Comparing
+//     with F[u] instead would be too strict, since the increment after u's
+//     last release has no access behind it and p never sees it.
 //
-// The reused slot keeps its clock and version vector, which are monotone:
-// the new thread's own component continues from the old thread's final
-// time, so epochs recorded by the new thread are strictly larger than any
-// the old thread could have produced — third parties' stale C[u] values
-// (≤ the old final time) correctly read as "have not synchronized with the
-// new thread".
+// Fork(p, u) then revives the slot with C_u = (F ⊔ C_p) and u's own
+// component bumped to max(F[u], C_p[u]) + 1, and u's version vector kept
+// (its entries are facts about F ⊑ C_u) with its own version bumped.
+//
+// Why no verdict changes. Condition 1 makes F ⊔ C_p differ from C_p only
+// at u, so the new thread knows exactly what a fresh thread forked by p
+// would know, plus u's timeline up to F[u]. By condition 2 that timeline
+// holds no access beyond C_p[u], so every stale epoch c@u left in variable
+// metadata is ordered before the new thread, as it would be before a fresh
+// one. Component u stays a single timeline across incarnations: each
+// incarnation starts strictly above every earlier access and with
+// knowledge of all of them, so a clock whose u-entry is at least c knows
+// every access of the slot at own-time ≤ c, whichever incarnation made it.
+// Hence a third party that synchronized only with an old incarnation does
+// not read as ordered after the new one, and the new thread's first epoch
+// differs from every stale epoch, so the same-epoch rules never skip a
+// check. Clocks and versions of the slot are monotone across the revival
+// (F ⊑ C_u), so a lock or volatile whose version epoch names an old
+// incarnation still satisfies Lemma 7, and the rule-4 fast join stays
+// sound. No metadata has to be scanned or discarded first.
+//
+// Slots whose parent never synchronizes with them stay candidates but are
+// never taken; they cost width, as every thread did before reuse. Probing
+// is bounded: ReusableThread looks at the reuseProbe most recently
+// terminated candidates only.
 
-// Join also records that u has been joined, making its slot a reuse
-// candidate; see the Join method in pacer.go and markJoined below.
+// reuseProbe bounds the candidates ReusableThread examines per fork, so a
+// stack of candidates no parent can take costs a constant per fork.
+const reuseProbe = 4
 
-func (d *Detector) markJoined(u vclock.Thread) {
-	if d.joined == nil {
-		d.joined = make(map[vclock.Thread]bool)
+// ThreadExit marks thread t terminated (detector.ThreadLifecycle): its
+// clock stops advancing at sampling-period starts and its slot becomes a
+// reuse candidate. t issues no further operations under this identifier.
+func (d *Detector) ThreadExit(t vclock.Thread) {
+	tm := d.thread(t)
+	if tm.exited {
+		return
 	}
-	d.joined[u] = true
+	tm.exited = true
+	d.live--
+	d.exited = append(d.exited, t)
 }
 
-// referenced reports whether any live metadata names thread u.
-func (d *Detector) referenced(u vclock.Thread) bool {
-	found := false
-	d.forEachVar(func(_ event.Var, m *varMeta) bool {
-		if !m.w.IsZero() && m.w.Thread() == u {
-			found = true
-			return false
+// ReusableThread returns a terminated thread's slot that a thread forked
+// by parent may take over (the two conditions above), or reports false.
+// Only the reuseProbe most recently terminated candidates are examined;
+// the following Fork(parent, u) revives the slot.
+func (d *Detector) ReusableThread(parent vclock.Thread) (vclock.Thread, bool) {
+	cp := d.thread(parent).clock
+	for i := len(d.exited) - 1; i >= 0 && i >= len(d.exited)-reuseProbe; i-- {
+		u := d.exited[i]
+		um := d.threads[u]
+		if cp.Get(u) >= um.lastAccess && um.clock.LeqExcept(cp, u) {
+			return u, true
 		}
-		if _, ok := m.r.Get(u); ok {
-			found = true
-			return false
-		}
-		return true
-	})
-	if found {
-		return true
-	}
-	for _, s := range d.locks {
-		if !s.vepoch.IsTop() && s.vepoch != vclock.VEBottom && s.vepoch.Thread() == u {
-			return true
-		}
-	}
-	for _, s := range d.vols {
-		if !s.vepoch.IsTop() && s.vepoch != vclock.VEBottom && s.vepoch.Thread() == u {
-			return true
-		}
-	}
-	return false
-}
-
-// ReusableThread returns a dead, joined, unreferenced thread slot and
-// revives it for a new thread, or reports false when none is available.
-// The scan is O(tracked variables + locks); callers fork rarely relative
-// to accesses, so this costs far less than letting clocks grow without
-// bound.
-func (d *Detector) ReusableThread() (vclock.Thread, bool) {
-	for u := range d.joined {
-		if !d.dead[u] || d.referenced(u) {
-			continue
-		}
-		delete(d.joined, u)
-		delete(d.dead, u)
-		// The slot keeps its monotone clock and version vector; bump both
-		// so the new thread's first epoch is distinct from the old
-		// thread's final state even before any synchronization.
-		tm := d.thread(u)
-		d.ownThreadClock(u, tm)
-		tm.clock.Inc(u)
-		tm.ver.Inc(u)
-		return u, true
 	}
 	return vclock.NoThread, false
+}
+
+// revive takes u off the candidate stack when Fork targets a terminated
+// slot, reporting whether it did.
+func (d *Detector) revive(u vclock.Thread) bool {
+	if int(u) >= len(d.threads) || d.threads[u] == nil || !d.threads[u].exited {
+		return false
+	}
+	d.threads[u].exited = false
+	d.live++
+	for i := len(d.exited) - 1; i >= 0; i-- {
+		if d.exited[i] == u {
+			d.exited = append(d.exited[:i], d.exited[i+1:]...)
+			break
+		}
+	}
+	return true
 }
 
 // ThreadSlots returns the number of thread slots ever created — with
 // reuse, the vector clock width.
 func (d *Detector) ThreadSlots() int { return len(d.threads) }
+
+// LiveThreads returns the number of created threads that have not
+// terminated (detector.ThreadReuser).
+func (d *Detector) LiveThreads() int { return d.live }

@@ -118,13 +118,21 @@ type OwnedAccess interface {
 	TryOwnedAccess(t vclock.Thread, x event.Var, site event.Site, write bool) bool
 }
 
-// ThreadReuser is implemented by detectors that can soundly recycle the
-// identifiers of dead, joined threads whose metadata has been discarded
-// (the accordion-clocks direction the paper recommends for production).
+// ThreadReuser is implemented by detectors that can soundly hand the
+// identifier of a terminated thread (exited or joined, see
+// ThreadLifecycle) to a new thread, so clock width follows live threads
+// rather than threads ever started (the accordion-clocks direction the
+// paper recommends for production).
 type ThreadReuser interface {
-	// ReusableThread returns a revived thread slot for a brand-new thread,
-	// or reports false when none is safely recyclable.
-	ReusableThread() (vclock.Thread, bool)
+	ThreadLifecycle
+	// ReusableThread returns a terminated thread's identifier that a
+	// thread forked by parent may take over without changing any verdict,
+	// or reports false when none qualifies. The caller then issues
+	// Fork(parent, u), which revives the slot.
+	ReusableThread(parent vclock.Thread) (vclock.Thread, bool)
+	// LiveThreads returns the number of threads holding a slot that have
+	// not terminated.
+	LiveThreads() int
 }
 
 // VarAccounted is implemented by detectors that can report how many

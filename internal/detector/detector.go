@@ -50,7 +50,9 @@ type Sampler interface {
 // ThreadLifecycle is implemented by detectors that want to know when a
 // thread terminates (e.g. PACER stops advancing dead threads' clocks at
 // sampling-period starts, as a real VM would — dead threads perform no
-// further accesses, so skipping them is sound).
+// further accesses, so skipping them is sound). ThreadExit is the
+// detector side of an exit event; a terminated thread issues no further
+// operations under its identifier.
 type ThreadLifecycle interface {
 	ThreadExit(t vclock.Thread)
 }
@@ -63,7 +65,8 @@ type MemoryAccounted interface {
 }
 
 // Apply dispatches a single event to d. Sampling events are forwarded only
-// to detectors implementing Sampler.
+// to detectors implementing Sampler, exit events only to detectors
+// implementing ThreadLifecycle.
 func Apply(d Detector, e event.Event) {
 	switch e.Kind {
 	case event.Read:
@@ -89,6 +92,10 @@ func Apply(d Detector, e event.Event) {
 	case event.SampleEnd:
 		if s, ok := d.(Sampler); ok {
 			s.SampleEnd()
+		}
+	case event.Exit:
+		if lc, ok := d.(ThreadLifecycle); ok {
+			lc.ThreadExit(e.Thread)
 		}
 	default:
 		panic(fmt.Sprintf("detector: unknown event kind %v", e.Kind))

@@ -19,6 +19,7 @@ import (
 	"pacer/internal/detector"
 	"pacer/internal/dtest"
 	"pacer/internal/event"
+	"pacer/internal/vclock"
 )
 
 // recordedRun hammers one detector from several goroutines through the
@@ -59,12 +60,7 @@ func recordedRunAlgo(algo string, rate float64, seed int64, goroutines, opsPer i
 	}
 	d := pacer.New(o)
 	main := d.NewThread()
-	shared := make([]pacer.VarID, 6)
-	for i := range shared {
-		shared[i] = d.NewVarID()
-	}
-	locks := []*pacer.Mutex{d.NewMutex(), d.NewMutex()}
-	flag := pacer.NewAtomic(d, 0)
+	w := newWorkload(d, &site)
 
 	var wg sync.WaitGroup
 	workers := make([]pacer.ThreadID, goroutines)
@@ -75,43 +71,7 @@ func recordedRunAlgo(algo string, rate float64, seed int64, goroutines, opsPer i
 		wg.Add(1)
 		go func(tid pacer.ThreadID, g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed*1000 + int64(g)))
-			private := make([]pacer.VarID, 4)
-			for i := range private {
-				private[i] = d.NewVarID()
-			}
-			for i := 0; i < opsPer; i++ {
-				s := pacer.SiteID(site.Add(1))
-				switch r := rng.Intn(100); {
-				case r < 45: // private accesses: fast-path fodder
-					v := private[rng.Intn(len(private))]
-					if rng.Intn(3) == 0 {
-						d.Write(tid, v, s)
-					} else {
-						d.Read(tid, v, s)
-					}
-				case r < 75: // unsynchronized shared accesses: race-prone
-					v := shared[rng.Intn(len(shared))]
-					if rng.Intn(2) == 0 {
-						d.Write(tid, v, s)
-					} else {
-						d.Read(tid, v, s)
-					}
-				case r < 92: // lock-guarded shared accesses
-					m := locks[rng.Intn(len(locks))]
-					m.Lock(tid)
-					d.Write(tid, shared[rng.Intn(len(shared))], s)
-					m.Unlock(tid)
-				case r < 97: // volatile publication
-					if rng.Intn(2) == 0 {
-						flag.Store(tid, i)
-					} else {
-						flag.Load(tid)
-					}
-				default: // a blocking Stats call stresses the epoch lock
-					_ = d.Stats()
-				}
-			}
+			w.run(tid, rand.New(rand.NewSource(seed*1000+int64(g))), opsPer)
 		}(tid, g)
 	}
 	wg.Wait()
@@ -119,6 +79,155 @@ func recordedRunAlgo(algo string, rate float64, seed int64, goroutines, opsPer i
 		d.Join(main, tid)
 	}
 	return trace, races
+}
+
+// workload is the shared state the worker goroutines of a recorded run
+// operate on.
+type workload struct {
+	d      *pacer.Detector
+	shared []pacer.VarID
+	locks  []*pacer.Mutex
+	flag   *pacer.Atomic[int]
+	site   *atomic.Uint32
+}
+
+func newWorkload(d *pacer.Detector, site *atomic.Uint32) *workload {
+	w := &workload{d: d, site: site, shared: make([]pacer.VarID, 6)}
+	for i := range w.shared {
+		w.shared[i] = d.NewVarID()
+	}
+	w.locks = []*pacer.Mutex{d.NewMutex(), d.NewMutex()}
+	w.flag = pacer.NewAtomic(d, 0)
+	return w
+}
+
+// run issues ops random operations as thread tid: private accesses,
+// unsynchronized and lock-guarded shared accesses, volatile publications
+// and the odd blocking Stats call. Every access gets a fresh site.
+func (w *workload) run(tid pacer.ThreadID, rng *rand.Rand, ops int) {
+	d := w.d
+	private := make([]pacer.VarID, 4)
+	for i := range private {
+		private[i] = d.NewVarID()
+	}
+	for i := 0; i < ops; i++ {
+		s := pacer.SiteID(w.site.Add(1))
+		switch r := rng.Intn(100); {
+		case r < 45: // private accesses: fast-path fodder
+			v := private[rng.Intn(len(private))]
+			if rng.Intn(3) == 0 {
+				d.Write(tid, v, s)
+			} else {
+				d.Read(tid, v, s)
+			}
+		case r < 75: // unsynchronized shared accesses: race-prone
+			v := w.shared[rng.Intn(len(w.shared))]
+			if rng.Intn(2) == 0 {
+				d.Write(tid, v, s)
+			} else {
+				d.Read(tid, v, s)
+			}
+		case r < 92: // lock-guarded shared accesses
+			m := w.locks[rng.Intn(len(w.locks))]
+			m.Lock(tid)
+			d.Write(tid, w.shared[rng.Intn(len(w.shared))], s)
+			m.Unlock(tid)
+		case r < 97: // volatile publication
+			if rng.Intn(2) == 0 {
+				w.flag.Store(tid, i)
+			} else {
+				w.flag.Load(tid)
+			}
+		default: // a blocking Stats call stresses the epoch lock
+			_ = d.Stats()
+		}
+	}
+}
+
+// churnRun is a recorded run of goroutine churn: waves of workers run
+// concurrently, each hands its history back through a lock and exits
+// without a join, and main acquires that lock before forking the next
+// wave, so the front-end revives the exited workers' slots.
+func churnRun(rate float64, seed int64, waves, width, opsPer int) (event.Trace, []pacer.Race) {
+	var (
+		trace  event.Trace
+		raceMu sync.Mutex
+		races  []pacer.Race
+		site   atomic.Uint32
+	)
+	d := pacer.New(pacer.Options{
+		SamplingRate: rate,
+		PeriodOps:    128,
+		Seed:         seed,
+		Shards:       8,
+		OnRace: func(r pacer.Race) {
+			raceMu.Lock()
+			races = append(races, r)
+			raceMu.Unlock()
+		},
+		TraceSink: func(e pacer.Event) { trace = append(trace, e) },
+	})
+	main := d.NewThread()
+	w := newWorkload(d, &site)
+	done := d.NewMutex()
+	for wave := 0; wave < waves; wave++ {
+		var wg sync.WaitGroup
+		for g := 0; g < width; g++ {
+			tid := d.Fork(main)
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				w.run(tid, rand.New(rand.NewSource(seed*1000+int64(wave*width+g))), opsPer)
+				done.Lock(tid)
+				done.Unlock(tid)
+				d.Exit(tid)
+			}(g)
+		}
+		wg.Wait()
+		done.Lock(main)
+		done.Unlock(main)
+	}
+	return trace, races
+}
+
+// TestDifferentialRevivedSlotsReplayExactly: the trace sink records
+// exits and the forks that revive exited slots, and replaying that
+// recording through the serialized core reproduces the live race
+// multiset.
+func TestDifferentialRevivedSlotsReplayExactly(t *testing.T) {
+	for _, rate := range []float64{1.0, 0.3} {
+		for seed := int64(1); seed <= 3; seed++ {
+			trace, races := churnRun(rate, seed, 30, 3, 60)
+			exited := map[vclock.Thread]bool{}
+			revived := 0
+			for _, e := range trace {
+				switch e.Kind {
+				case event.Exit:
+					exited[e.Thread] = true
+				case event.Fork:
+					if u := vclock.Thread(e.Target); exited[u] {
+						revived++
+						delete(exited, u)
+					}
+				}
+			}
+			if revived == 0 {
+				t.Fatalf("rate %v seed %d: no fork revived an exited slot", rate, seed)
+			}
+			got, want := dtest.KeySet(races), dtest.KeySet(replaySerial(trace))
+			if len(got) != len(want) {
+				t.Fatalf("rate %v seed %d: live has %d distinct keys, replay %d", rate, seed, len(got), len(want))
+			}
+			for k, n := range got {
+				if want[k] != n {
+					t.Fatalf("rate %v seed %d: key %+v reported %d times live, %d in replay", rate, seed, k, n, want[k])
+				}
+			}
+			if rate == 1.0 && len(races) == 0 {
+				t.Fatalf("seed %d: fully sampled churn found no races", seed)
+			}
+		}
+	}
 }
 
 func replaySerial(tr event.Trace) []detector.Race {

@@ -36,12 +36,16 @@ const (
 	SampleBegin
 	// SampleEnd is send(): the analysis leaves a sampling period.
 	SampleEnd
+	// Exit is exit(t): thread t terminates without being joined. It adds
+	// no happens-before edges; it tells a detector that t performs no
+	// further operations, so t's identifier may go to a later fork.
+	Exit
 
 	numKinds
 )
 
 var kindNames = [numKinds]string{
-	"rd", "wr", "acq", "rel", "fork", "join", "vol_rd", "vol_wr", "sbegin", "send",
+	"rd", "wr", "acq", "rel", "fork", "join", "vol_rd", "vol_wr", "sbegin", "send", "exit",
 }
 
 // String returns the paper's name for the action kind.
@@ -86,6 +90,7 @@ type Site uint32
 //	Acquire/...:   Target = Lock
 //	Fork/Join:     Target = the other thread u
 //	VolRead/Write: Target = Volatile
+//	Exit:          no fields beyond Thread
 //	SampleBegin/End: no fields (Thread is ignored)
 type Event struct {
 	Kind   Kind
@@ -106,6 +111,8 @@ func (e Event) String() string {
 		return fmt.Sprintf("%s(t%d, t%d)", e.Kind, e.Thread, e.Target)
 	case VolRead, VolWrite:
 		return fmt.Sprintf("%s(t%d, v%d)", e.Kind, e.Thread, e.Target)
+	case Exit:
+		return fmt.Sprintf("%s(t%d)", e.Kind, e.Thread)
 	default:
 		return fmt.Sprintf("%s()", e.Kind)
 	}

@@ -13,7 +13,7 @@ func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		Read: "rd", Write: "wr", Acquire: "acq", Release: "rel",
 		Fork: "fork", Join: "join", VolRead: "vol_rd", VolWrite: "vol_wr",
-		SampleBegin: "sbegin", SampleEnd: "send",
+		SampleBegin: "sbegin", SampleEnd: "send", Exit: "exit",
 	}
 	for k, s := range want {
 		if k.String() != s {
@@ -34,7 +34,7 @@ func TestKindClassification(t *testing.T) {
 			t.Errorf("%v misclassified", k)
 		}
 	}
-	for _, k := range []Kind{SampleBegin, SampleEnd} {
+	for _, k := range []Kind{SampleBegin, SampleEnd, Exit} {
 		if k.IsSync() || k.IsAccess() {
 			t.Errorf("%v misclassified", k)
 		}
@@ -51,6 +51,7 @@ func TestEventString(t *testing.T) {
 		{Event{Kind: Fork, Thread: 0, Target: 1}, "fork(t0, t1)"},
 		{Event{Kind: VolWrite, Thread: 2, Target: 0}, "vol_wr(t2, v0)"},
 		{Event{Kind: SampleBegin}, "sbegin()"},
+		{Event{Kind: Exit, Thread: 3}, "exit(t3)"},
 	}
 	for _, tc := range cases {
 		if got := tc.e.String(); got != tc.want {

@@ -48,6 +48,7 @@ type instanceState struct {
 	races    []byte
 	arena    *ArenaGauges
 	shadow   *ShadowGauges
+	threads  *ThreadGauges
 }
 
 // Collector is the fleet-side half of the transport: an http.Handler that
@@ -161,6 +162,7 @@ func (c *Collector) handlePush(w http.ResponseWriter, req *http.Request) {
 	st.races = p.Races
 	st.arena = p.Arena
 	st.shadow = p.Shadow
+	st.threads = p.Threads
 	c.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -257,13 +259,14 @@ func (c *Collector) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		lastSeen time.Time
 		arena    *ArenaGauges
 		shadow   *ShadowGauges
+		threads  *ThreadGauges
 	}
 	c.mu.Lock()
 	c.expireLocked()
 	pushes, bad, stale, unauth, expired := c.pushes, c.badPushes, c.stale, c.unauth, c.expired
 	rows := make([]instRow, 0, len(c.instances))
 	for name, st := range c.instances {
-		rows = append(rows, instRow{name, st.seq, st.dropped, st.lastSeen, st.arena, st.shadow})
+		rows = append(rows, instRow{name, st.seq, st.dropped, st.lastSeen, st.arena, st.shadow, st.threads})
 	}
 	c.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
@@ -363,4 +366,29 @@ func (c *Collector) handleMetrics(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 	}
+
+	// Detector threads, per instance that reports its Stats.
+	for _, m := range ThreadMetrics {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", m.Name, m.Help, m.Name)
+		for _, row := range rows {
+			if row.threads != nil {
+				fmt.Fprintf(w, "%s{instance=%q} %d\n", m.Name, row.name, m.Get(row.threads))
+			}
+		}
+	}
+}
+
+// ThreadMetric is one per-instance thread gauge on /metrics.
+type ThreadMetric struct {
+	Name, Help string
+	Get        func(*ThreadGauges) uint64
+}
+
+// ThreadMetrics are the per-instance thread gauges /metrics exports, here
+// and in the ingest tier.
+var ThreadMetrics = []ThreadMetric{
+	{"pacer_threads_live", "Detector threads alive: started and not exited or joined.",
+		func(g *ThreadGauges) uint64 { return g.Live }},
+	{"pacer_thread_slots", "Detector thread slots handed out: the vector-clock width.",
+		func(g *ThreadGauges) uint64 { return g.Slots }},
 }

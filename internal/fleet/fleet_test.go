@@ -965,3 +965,55 @@ func TestFleetShadowGauges(t *testing.T) {
 		t.Errorf("plain library instance grew shadow series:\n%s", metrics)
 	}
 }
+
+// TestFleetThreadGauges: a reporter with a Stats source ships the
+// detector's live threads and thread slots, and the collector re-exports
+// them per instance. Exited threads hand their slots to later forks, so
+// slots stay at the peak live count while threads come and go.
+func TestFleetThreadGauges(t *testing.T) {
+	col := fleet.NewCollector(fleet.CollectorOptions{})
+	srv := httptest.NewServer(col.Handler())
+	defer srv.Close()
+
+	agg := pacer.NewAggregator()
+	d := pacer.New(pacer.Options{SamplingRate: 1, Seed: 5, OnRace: agg.Reporter("inst-threads")})
+	main := d.NewThread()
+	mu := d.NewMutex()
+	for range 50 {
+		w := d.Fork(main)
+		mu.Lock(w)
+		mu.Unlock(w)
+		d.Exit(w)
+		mu.Lock(main)
+		mu.Unlock(main)
+	}
+	d.Fork(main)
+	d.Fork(main)
+	if st := d.Stats(); st.LiveThreads != 3 || st.ThreadSlots != 3 {
+		t.Fatalf("Stats: %d live threads, %d slots; want 3, 3", st.LiveThreads, st.ThreadSlots)
+	}
+	rep, err := fleet.NewReporter(agg, fleet.ReporterOptions{
+		Collector: srv.URL,
+		Instance:  "inst-threads",
+		Stats:     d.Stats,
+		Interval:  time.Hour,
+		Timeout:   2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := rep.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	metrics := string(httpGet(t, srv.URL+"/metrics"))
+	for _, series := range []string{
+		`pacer_threads_live{instance="inst-threads"} 3`,
+		`pacer_thread_slots{instance="inst-threads"} 3`,
+	} {
+		if !strings.Contains(metrics, series) {
+			t.Errorf("metrics missing %s:\n%s", series, metrics)
+		}
+	}
+}

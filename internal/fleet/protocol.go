@@ -100,6 +100,10 @@ type Push struct {
 	// runtime shim). Absent on plain library instances and on older
 	// reporters, so the field does not bump SchemaVersion.
 	Shadow *ShadowGauges `json:"shadow,omitempty"`
+	// Threads carries the instance's detector thread accounting. Absent
+	// on reporters without a Stats source and on older reporters, so the
+	// field does not bump SchemaVersion.
+	Threads *ThreadGauges `json:"threads,omitempty"`
 }
 
 // ArenaGauges is an instance's metadata-arena accounting as of its last
@@ -121,6 +125,16 @@ type ShadowGauges struct {
 	Misses uint64 `json:"misses"`
 	Evicts uint64 `json:"evicts"`
 	Vars   uint64 `json:"vars"`
+}
+
+// ThreadGauges is an instance's detector thread accounting as of its last
+// snapshot: the threads alive and the thread slots (identifiers handed
+// out, i.e. the vector-clock width). A slot count that keeps climbing
+// while live threads stay flat means threads are not being retired.
+// Fields mirror pacer.Stats.
+type ThreadGauges struct {
+	Live  uint64 `json:"live"`
+	Slots uint64 `json:"slots"`
 }
 
 // EncodePush writes p to w as gzip-compressed JSON.

@@ -322,8 +322,10 @@ func (r *Reporter) snapshot() {
 	}
 	var arena *ArenaGauges
 	var shadow *ShadowGauges
+	var threads *ThreadGauges
 	if r.opts.Stats != nil { // outside r.mu: the callback reads detector state
 		st := r.opts.Stats()
+		threads = &ThreadGauges{Live: uint64(st.LiveThreads), Slots: uint64(st.ThreadSlots)}
 		if st.ArenaEnabled {
 			arena = &ArenaGauges{
 				SlabsLive: st.ArenaSlabsLive,
@@ -373,6 +375,7 @@ func (r *Reporter) snapshot() {
 				Races:    blob,
 				Arena:    arena,
 				Shadow:   shadow,
+				Threads:  threads,
 			}
 			r.base, r.baseSeq = entries, r.seq
 			r.enqueueLocked(p)
@@ -400,6 +403,7 @@ func (r *Reporter) snapshot() {
 		Races:    races,
 		Arena:    arena,
 		Shadow:   shadow,
+		Threads:  threads,
 	}
 	if entries != nil {
 		r.base, r.baseSeq = entries, r.seq

@@ -418,4 +418,14 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	}
+
+	// Detector threads, per instance that reports its Stats.
+	for _, m := range fleet.ThreadMetrics {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", m.Name, m.Help, m.Name)
+		for _, row := range rows {
+			if row.Threads != nil {
+				fmt.Fprintf(w, "%s{instance=%q} %d\n", m.Name, row.Name, m.Get(row.Threads))
+			}
+		}
+	}
 }

@@ -286,6 +286,7 @@ func TestIngestServiceRateLimitHTTP(t *testing.T) {
 func TestIngestServiceMetrics(t *testing.T) {
 	_, srv := newTestService(t, Options{AuthToken: ""})
 	p, _ := pushFor("metrics-inst", 1, 1, 0, entryFor(1, 10, 2, "metrics-inst"))
+	p.Threads = &fleet.ThreadGauges{Live: 3, Slots: 5}
 	if resp := postPush(t, srv.URL, p); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("push: %s", resp.Status)
 	}
@@ -316,6 +317,9 @@ func TestIngestServiceMetrics(t *testing.T) {
 		"pacer_collector_instances 1",
 		"pacer_collector_distinct_races 1",
 		`pacer_collector_instance_last_seen_timestamp_seconds{instance="metrics-inst"}`,
+		// Per-instance detector threads.
+		`pacer_threads_live{instance="metrics-inst"} 3`,
+		`pacer_thread_slots{instance="metrics-inst"} 5`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q", want)

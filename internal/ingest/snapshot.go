@@ -39,6 +39,7 @@ type InstanceSnapshot struct {
 	Races            []fleet.TriageEntry `json:"races"`
 	Arena            *fleet.ArenaGauges  `json:"arena,omitempty"`
 	Shadow           *fleet.ShadowGauges `json:"shadow,omitempty"`
+	Threads          *fleet.ThreadGauges `json:"threads,omitempty"`
 }
 
 // Snapshot captures the full state, deterministically ordered (sorted
@@ -61,6 +62,7 @@ func (s *State) Snapshot() *SnapshotFile {
 				Races:            fleet.SortedTriage(ent.entries),
 				Arena:            ent.arena,
 				Shadow:           ent.shadow,
+				Threads:          ent.threads,
 			})
 		}
 		sh.mu.Unlock()
@@ -102,6 +104,7 @@ func (s *State) Restore(snap *SnapshotFile) error {
 			cost:     instCost(in.Instance, entries),
 			arena:    in.Arena,
 			shadow:   in.Shadow,
+			threads:  in.Threads,
 		}
 		sh := s.shardOf(in.Instance)
 		sh.mu.Lock()

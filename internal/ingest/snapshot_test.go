@@ -18,6 +18,7 @@ func TestIngestSnapshotRoundTrip(t *testing.T) {
 	p, entries := pushFor("c", 4, 1, 0, entryFor(5, 50, 6, "c"))
 	p.Arena = &fleet.ArenaGauges{SlabsLive: 3, Recycles: 11}
 	p.Shadow = &fleet.ShadowGauges{Hits: 100, Vars: 7}
+	p.Threads = &fleet.ThreadGauges{Live: 2, Slots: 4}
 	p.Dropped = 2
 	src.Apply(p, entries)
 
@@ -52,7 +53,8 @@ func TestIngestSnapshotRoundTrip(t *testing.T) {
 			c = &rows[i]
 		}
 	}
-	if c == nil || c.Arena == nil || c.Arena.Recycles != 11 || c.Shadow == nil || c.Shadow.Vars != 7 || c.Dropped != 2 {
+	if c == nil || c.Arena == nil || c.Arena.Recycles != 11 || c.Shadow == nil || c.Shadow.Vars != 7 ||
+		c.Threads == nil || c.Threads.Slots != 4 || c.Dropped != 2 {
 		t.Fatalf("instance c's envelope did not survive restore: %+v", c)
 	}
 }

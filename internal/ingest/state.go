@@ -59,6 +59,7 @@ type instEntry struct {
 	cost     int64
 	arena    *fleet.ArenaGauges
 	shadow   *fleet.ShadowGauges
+	threads  *fleet.ThreadGauges
 }
 
 type stateShard struct {
@@ -215,6 +216,7 @@ func (s *State) Apply(p *fleet.Push, entries map[fleet.TriageKey]fleet.TriageEnt
 	ent.lastSeen = now
 	ent.arena = p.Arena
 	ent.shadow = p.Shadow
+	ent.threads = p.Threads
 	s.evictOverLocked(sh, p.Instance)
 	return ApplyMerged
 }
@@ -312,6 +314,7 @@ type InstanceRow struct {
 	LastSeen time.Time
 	Arena    *fleet.ArenaGauges
 	Shadow   *fleet.ShadowGauges
+	Threads  *fleet.ThreadGauges
 }
 
 // Rows returns per-instance metric rows, sorted by name.
@@ -326,6 +329,7 @@ func (s *State) Rows() []InstanceRow {
 			rows = append(rows, InstanceRow{
 				Name: name, Seq: ent.seq, Dropped: ent.dropped,
 				LastSeen: ent.lastSeen, Arena: ent.arena, Shadow: ent.shadow,
+				Threads: ent.threads,
 			})
 		}
 		sh.mu.Unlock()

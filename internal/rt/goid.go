@@ -87,10 +87,19 @@ func GoStart(g *G) {
 	goroutines.SetIfAbsent(uintptr(goid()), func() *G { return g })
 }
 
-// GoExit runs (deferred) last in a spawned goroutine, releasing its
-// registry entry. The runtime never reuses a goroutine id, so the entry
-// could never be hit again; evicting it keeps the registry bounded by
-// live instrumented goroutines.
+// GoExit runs (deferred) last in a spawned goroutine: it retires the
+// goroutine's detector thread, so a later GoSpawn may reuse its slot once
+// the spawning goroutine is ordered after everything this one did and
+// knew, and releases the registry entry. The runtime never reuses a goroutine id,
+// so the entry could never be hit again; evicting it keeps the registry
+// bounded by live instrumented goroutines.
+//
+// Goroutines started by uninstrumented code never run GoExit: their
+// lazily registered root threads are never retired.
 func GoExit() {
-	goroutines.Evict(uintptr(goid()))
+	id := uintptr(goid())
+	if g := goroutines.Get(id); g != nil {
+		D().Exit(g.t)
+	}
+	goroutines.Evict(id)
 }

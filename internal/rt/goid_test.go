@@ -3,6 +3,7 @@ package rt
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -127,6 +128,108 @@ func TestFrontDoorHookZeroAlloc(t *testing.T) {
 		if avg := testing.AllocsPerRun(1000, tc.hook); avg != 0 {
 			t.Errorf("%s allocates %.2f per call, want 0", tc.name, avg)
 		}
+	}
+
+	// Goroutine churn: GoExit retires the child's thread and the next
+	// GoSpawn revives its slot. One worker goroutine stands in for the
+	// successive children (GoStart binds it afresh after each GoExit), so
+	// a cycle allocates only the G handle GoSpawn passes to the child; the
+	// revived slot's clocks allocate nothing.
+	handles, done := make(chan *G), make(chan struct{})
+	defer close(handles)
+	go func() {
+		for g := range handles {
+			GoStart(g)
+			GoExit()
+			done <- struct{}{}
+		}
+	}()
+	cycle := func() { handles <- GoSpawn(); <-done }
+	for range 100 {
+		cycle()
+	}
+	slots := D().Stats().ThreadSlots
+	if avg := testing.AllocsPerRun(1000, cycle); avg > 1 {
+		t.Errorf("GoSpawn/GoExit cycle allocates %.2f per call, want ≤ 1 (the G handle)", avg)
+	}
+	if got := D().Stats().ThreadSlots; got != slots {
+		t.Errorf("GoSpawn/GoExit cycles grew the thread slots %d -> %d; exited slots are not revived", slots, got)
+	}
+}
+
+// TestFrontDoorGoroutineChurnBounded: goroutines spawned one after
+// another, at most two in flight, handing their work back through a
+// semaphore channel the way kvserve's requests do. Every exited
+// goroutine's slot is revived by a later spawn, so the detector's thread
+// slots grow with the goroutines alive at once, not with those ever
+// started, and metadata stops growing once the first thousand have run.
+func TestFrontDoorGoroutineChurnBounded(t *testing.T) {
+	const n, warm = 100_000, 1_000
+	var mu sync.Mutex
+	total := new(int)
+	sem := make(chan struct{}, 2)
+	mup := unsafe.Pointer(&mu)
+	site := testSite(t)
+	var live, peak atomic.Int32
+	var drained sync.WaitGroup // plain: drains the last goroutines at the end
+	slots0 := D().Stats().ThreadSlots
+	warmWords := 0
+	for i := range n {
+		ChanSend(sem)
+		sem <- struct{}{}
+		ChanSendDone(sem)
+		if i%warm == 0 {
+			// Checked as the run goes, so a regression fails after a
+			// thousand goroutines instead of building clocks whose total
+			// size grows with the square of the goroutines started.
+			st := D().Stats()
+			if grown, bound := st.ThreadSlots-slots0, 4*int(peak.Load()); i > 0 && grown > bound {
+				t.Fatalf("after %d goroutines, at most %d alive at once, the thread slots grew by %d; want ≤ %d",
+					i, peak.Load(), grown, bound)
+			}
+			if i == warm {
+				warmWords = st.MetadataWords
+			}
+		}
+		if l := live.Add(1); l > peak.Load() {
+			peak.Store(l) // only this goroutine raises the count
+		}
+		g := GoSpawn()
+		drained.Add(1)
+		go func() {
+			GoStart(g)
+			defer func() {
+				GoExit()
+				live.Add(-1)
+				drained.Done()
+			}()
+			mu.Lock()
+			LockAcquire(mup)
+			*total++
+			W(unsafe.Pointer(total), unsafe.Sizeof(*total), site)
+			LockRelease(mup)
+			mu.Unlock()
+			ChanRecvPre(sem)
+			<-sem
+			ChanRecv(sem)
+		}()
+	}
+	drained.Wait()
+	st := D().Stats()
+	if grown, bound := st.ThreadSlots-slots0, 4*int(peak.Load()); grown > bound {
+		t.Errorf("%d goroutines, at most %d alive at once, grew the thread slots by %d; want ≤ %d",
+			n, peak.Load(), grown, bound)
+	}
+	// After the first thousand, metadata may grow only by the slots the
+	// churn may still add, each a clock and a version vector as wide as
+	// the thread table, plus a constant: nothing per goroutine.
+	slack := 2*4*int(peak.Load())*st.ThreadSlots + 1024
+	if st.MetadataWords > warmWords+slack {
+		t.Errorf("metadata %d words after %d goroutines, %d after %d; want within %d",
+			st.MetadataWords, n, warmWords, warm, slack)
+	}
+	if *total != n {
+		t.Fatalf("total %d, want %d", *total, n)
 	}
 }
 

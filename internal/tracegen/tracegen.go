@@ -60,6 +60,13 @@ type Config struct {
 	// PBurst is the probability that an access step repeats its access,
 	// exercising the same-epoch fast paths.
 	PBurst float64
+	// Exits makes finishing threads publish their history on a plain
+	// volatile, sometimes read another volatile after that, and emit an
+	// Exit event; an exited thread is never joined. This is the goroutine
+	// shape: nobody joins a goroutine, and whoever reads its publication
+	// is ordered after every access it made, so a detector that reuses
+	// thread identifiers may revive its slot.
+	Exits bool
 }
 
 // shardClusterBase is the first identifier considered for the
@@ -154,7 +161,8 @@ func clusterSite(i int, write bool) event.Site {
 // Generate produces a random well-formed trace: locks are held by at most
 // one thread and released only by their holder, RWMutex writer/reader
 // exclusion is respected, threads act only between their fork and their
-// finish, and joined threads never act again.
+// finish, joined threads never act again, and exited threads are never
+// joined.
 func Generate(cfg Config) event.Trace {
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
@@ -398,6 +406,20 @@ func (g *generator) step() {
 		if g.rng.Intn(2) == 0 {
 			if t == 0 || len(st.held) > 0 {
 				return
+			}
+			if g.cfg.Exits {
+				vx := event.Volatile(g.rng.Intn(g.cfg.Volatiles))
+				g.emit(event.Event{Kind: event.VolWrite, Thread: t, Target: uint32(vx)})
+				if g.rng.Intn(2) == 0 {
+					// Learn something after the publication, as a
+					// goroutine does that receives before it returns:
+					// readers of vx are then not ordered after all of
+					// this thread's knowledge.
+					vy := event.Volatile(g.rng.Intn(g.cfg.Volatiles))
+					g.emit(event.Event{Kind: event.VolRead, Thread: t, Target: uint32(vy)})
+				}
+				g.emit(event.Event{Kind: event.Exit, Thread: t})
+				st.joined = true
 			}
 			st.finished = true
 			return

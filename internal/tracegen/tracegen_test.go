@@ -14,18 +14,25 @@ import (
 // TestGenerateWellFormed checks the feasibility invariants every generated
 // trace must satisfy (Appendix A of the paper): locks are held by at most
 // one thread and released only by their holder, threads act only after
-// their fork, forked threads are fresh, joined threads never act again,
-// and no lock is held at trace end.
+// their fork, forked threads are fresh, joined and exited threads never
+// act again, exited threads are never joined, and no lock is held at
+// trace end.
 func TestGenerateWellFormed(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
-		tr := tracegen.Generate(tracegen.CorpusConfig(seed))
+	for seed := int64(0); seed < 120; seed++ {
+		cfg := tracegen.CorpusConfig(seed / 2)
+		cfg.Exits = seed%2 == 1
+		tr := tracegen.Generate(cfg)
 		if len(tr) == 0 {
 			t.Fatalf("seed %d: empty trace", seed)
 		}
 		owner := map[event.Lock]vclock.Thread{}
 		started := map[vclock.Thread]bool{0: true}
 		joined := map[vclock.Thread]bool{}
+		exited := map[vclock.Thread]bool{}
 		for i, e := range tr {
+			if exited[e.Thread] {
+				t.Fatalf("seed %d event %d: thread %d acts after its exit: %v", seed, i, e.Thread, e)
+			}
 			if !started[e.Thread] {
 				t.Fatalf("seed %d event %d: thread %d acts before being forked: %v", seed, i, e.Thread, e)
 			}
@@ -59,7 +66,15 @@ func TestGenerateWellFormed(t *testing.T) {
 				if joined[u] {
 					t.Fatalf("seed %d event %d: thread %d joined twice", seed, i, u)
 				}
+				if exited[u] {
+					t.Fatalf("seed %d event %d: join of exited thread %d", seed, i, u)
+				}
 				joined[u] = true
+			case event.Exit:
+				if !cfg.Exits || e.Thread == 0 {
+					t.Fatalf("seed %d event %d: unexpected %v", seed, i, e)
+				}
+				exited[e.Thread] = true
 			}
 		}
 		if len(owner) != 0 {

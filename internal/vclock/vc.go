@@ -116,6 +116,19 @@ func (v *VC) Leq(o *VC) bool {
 	return true
 }
 
+// LeqExcept reports v ⊑ o on every component except t's.
+func (v *VC) LeqExcept(o *VC, t Thread) bool {
+	for i, vc := range v.c {
+		if vc == 0 || Thread(i) == t {
+			continue
+		}
+		if i >= len(o.c) || vc > o.c[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // CopyFrom performs a deep, element-by-element copy of o into v. The
 // receiver must not be shared. A shrinking copy zeroes the vacated tail,
 // so a later grow() re-exposes zeros, never stale clock values. Between

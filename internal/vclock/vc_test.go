@@ -150,6 +150,24 @@ func TestVCLeqDifferentLengths(t *testing.T) {
 	}
 }
 
+func TestVCLeqExcept(t *testing.T) {
+	f := func(x, y []uint16, u uint8) bool {
+		a, b := vcFromShorts(x), vcFromShorts(y)
+		t := Thread(u % 8)
+		// Equal to ⊑ once t's component is lifted out of the comparison.
+		lifted := a.Clone()
+		lifted.Set(t, 0)
+		return a.LeqExcept(b, t) == lifted.Leq(b)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	a, b := FromSlice([]uint64{3, 9}), FromSlice([]uint64{3, 2, 5})
+	if !a.LeqExcept(b, 1) || a.LeqExcept(b, 0) {
+		t.Error("⟨3 9⟩ vs ⟨3 2 5⟩: ⊑ should hold except at t1 and fail except at t0")
+	}
+}
+
 func TestVCCopyFromIsDeep(t *testing.T) {
 	a := FromSlice([]uint64{1, 2, 3})
 	b := New(0)

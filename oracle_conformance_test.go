@@ -439,3 +439,87 @@ func TestFastTrackVarCapFrontEnd(t *testing.T) {
 		t.Fatalf("cap changed detection: races reported on %v, want both x%d and x%d", vars, low, high)
 	}
 }
+
+// driveLive runs a generated trace as a live program through the public
+// Detector API under cell at the given rate: each Fork takes whatever
+// identifier the detector hands out (so exited threads' slots are
+// revived), Exit retires a thread, and every other event maps onto the
+// matching method. It returns the reported races and the thread slots
+// the detector ended with.
+func driveLive(tr event.Trace, cell matrixCell, rate float64) ([]pacer.Race, int) {
+	var races []pacer.Race
+	d := pacer.New(pacer.Options{
+		SamplingRate: rate,
+		PeriodOps:    16,
+		Seed:         5,
+		Serialized:   cell.serialized,
+		Arena:        cell.arena,
+		Clock:        cell.clock,
+		OnRace:       func(r pacer.Race) { races = append(races, r) },
+	})
+	ids := map[vclock.Thread]pacer.ThreadID{0: d.NewThread()}
+	for _, e := range tr {
+		t := ids[e.Thread]
+		switch e.Kind {
+		case event.Read:
+			d.Read(t, pacer.VarID(e.Target), e.Site)
+		case event.Write:
+			d.Write(t, pacer.VarID(e.Target), e.Site)
+		case event.Acquire:
+			d.Acquire(t, pacer.LockID(e.Target))
+		case event.Release:
+			d.Release(t, pacer.LockID(e.Target))
+		case event.VolRead:
+			d.VolRead(t, pacer.VolatileID(e.Target))
+		case event.VolWrite:
+			d.VolWrite(t, pacer.VolatileID(e.Target))
+		case event.Fork:
+			ids[vclock.Thread(e.Target)] = d.Fork(t)
+		case event.Join:
+			d.Join(t, ids[vclock.Thread(e.Target)])
+		case event.Exit:
+			d.Exit(t)
+		}
+	}
+	return races, d.Stats().ThreadSlots
+}
+
+// TestConformanceThreadReuseLive checks that reusing exited threads'
+// identifiers changes no verdict. Generated programs whose threads
+// publish and exit without a join run live through the Detector API,
+// where Fork revives exited slots, across {serialized, sharded} × {heap,
+// arena} × {flat, tree}; the oracle judges the original trace, in which
+// every thread keeps its own identifier. At rate 1 the racy-variable set
+// must be exact, and no rate may report a race outside the ground truth.
+func TestConformanceThreadReuseLive(t *testing.T) {
+	const seeds = 300
+	revived := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		cfg := tracegen.CorpusConfig(seed)
+		cfg.Exits = true
+		tr := tracegen.Generate(cfg)
+		rep := oracle.Analyze(tr)
+		threads := tr.Threads()
+		for _, cell := range matrixCellsFor("pacer") {
+			for _, rate := range []float64{1, 0.3, 0.05} {
+				races, slots := driveLive(tr, cell, rate)
+				if issues := rep.Check(races, rate == 1); len(issues) > 0 {
+					for _, issue := range issues {
+						t.Errorf("seed %d [%s r=%v]: %s", seed, cell, rate, issue)
+					}
+					t.Fatalf("seed %d [%s r=%v]: %d oracle violation(s) with thread reuse", seed, cell, rate, len(issues))
+				}
+				if slots > threads {
+					t.Fatalf("seed %d [%s r=%v]: %d thread slots for %d threads", seed, cell, rate, slots, threads)
+				}
+				if rate == 1 && cell == (matrixCell{serialized: true}) {
+					revived += threads - slots
+				}
+			}
+		}
+	}
+	if revived == 0 {
+		t.Fatal("no generated program revived a slot; the sweep does not exercise reuse")
+	}
+	t.Logf("%d slots revived across %d programs", revived, seeds)
+}

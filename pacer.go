@@ -10,7 +10,7 @@
 //
 // Applications register threads and synchronization objects and notify the
 // detector at reads, writes, lock operations, volatile accesses, forks,
-// and joins:
+// joins, and exits of threads nobody joins:
 //
 //	d := pacer.New(pacer.Options{SamplingRate: 0.03, OnRace: report})
 //	t := d.NewThread()
@@ -151,12 +151,6 @@ type Options struct {
 	// analysis overhead near the target (see BudgetOptions). Only
 	// meaningful for backends with sampling periods.
 	Budget BudgetOptions
-	// ReuseThreadIDs recycles the identifiers of dead, joined threads
-	// whose metadata has been fully discarded, keeping vector clocks
-	// bounded by the peak live thread count instead of the total thread
-	// count — the accordion-clocks improvement the paper recommends for
-	// production use. Ignored by backends that cannot recycle soundly.
-	ReuseThreadIDs bool
 	// Shards is the number of variable-metadata shards (rounded up to a
 	// power of two; default 64). More shards admit more parallelism during
 	// sampling periods and a finer-grained fast-path presence filter, at a
@@ -225,6 +219,11 @@ type Stats struct {
 	VarsTracked int
 	// MetadataWords approximates live metadata in 8-byte words.
 	MetadataWords int
+	// ThreadSlots is the number of thread identifiers handed out: with
+	// identifier reuse, the vector clock width. LiveThreads counts the
+	// threads among them that have not exited or been joined; backends
+	// that cannot reuse identifiers report every slot as live.
+	ThreadSlots, LiveThreads int
 	// ArenaEnabled reports whether a metadata arena backs this detector;
 	// the remaining arena counters are zero when it is false.
 	ArenaEnabled bool
@@ -302,7 +301,7 @@ type Detector struct {
 	memory    detector.MemoryAccounted
 	varsAcct  detector.VarAccounted
 	lifecycle detector.ThreadLifecycle
-	reuser    detector.ThreadReuser
+	reuser    detector.ThreadReuser // nil: every Fork takes a fresh identifier
 	arenaAcct detector.ArenaAccounted
 
 	// serialized is Options.Serialized, or forced when the backend lacks
@@ -587,15 +586,17 @@ func (p *Detector) NewThread() ThreadID {
 }
 
 // Fork registers a new thread forked by parent and records the
-// happens-before edge fork(parent, child). With Options.ReuseThreadIDs
-// (and a backend that supports sound recycling), the identifier of a fully
-// retired thread may be reused.
+// happens-before edge fork(parent, child). With a backend that can reuse
+// identifiers soundly (the default PACER backend), the child may take over
+// the identifier of a thread that has exited or been joined, once parent
+// is ordered after everything that thread did; clock width then follows
+// live threads rather than threads ever forked.
 func (p *Detector) Fork(parent ThreadID) ThreadID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	id, reused := ThreadID(0), false
-	if p.opts.ReuseThreadIDs && p.reuser != nil {
-		id, reused = p.reuser.ReusableThread()
+	if p.reuser != nil {
+		id, reused = p.reuser.ReusableThread(parent)
 	}
 	if !reused {
 		id = p.nextThread
@@ -622,18 +623,35 @@ func (p *Detector) forkTo(t, u ThreadID) {
 	p.tickLocked()
 }
 
-// Join records join(t, u): t blocked until u terminated. It also marks u
-// terminated, which (with Options.ReuseThreadIDs) makes its identifier a
-// recycling candidate once no metadata names it.
+// Join records join(t, u): t blocked until u terminated. u issues no
+// further operations, and a later Fork may reuse its identifier; the
+// trace sink records the join followed by u's exit.
 func (p *Detector) Join(t, u ThreadID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.back.Join(t, u)
-	if p.lifecycle != nil {
-		p.lifecycle.ThreadExit(u)
-	}
 	p.record(Event{Kind: event.Join, Thread: t, Target: uint32(u)})
+	p.exitLocked(u)
 	p.tickLocked()
+}
+
+// Exit records that thread t terminated without being joined (a
+// goroutine returning, say). It adds no happens-before edge and is not
+// counted as an operation; t issues no further operations, and a later
+// Fork may reuse its identifier.
+func (p *Detector) Exit(t ThreadID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.exitLocked(t)
+}
+
+// exitLocked retires t in the backend and records the exit. Callers hold
+// mu exclusively.
+func (p *Detector) exitLocked(t ThreadID) {
+	if p.lifecycle != nil {
+		p.lifecycle.ThreadExit(t)
+	}
+	p.record(Event{Kind: event.Exit, Thread: t})
 }
 
 // NewLockID allocates a lock identifier.
@@ -891,6 +909,8 @@ func (p *Detector) Apply(e Event) {
 		p.applySampling(true)
 	case event.SampleEnd:
 		p.applySampling(false)
+	case event.Exit:
+		p.Exit(e.Thread)
 	}
 }
 
@@ -950,6 +970,10 @@ func (p *Detector) Stats() Stats {
 	}
 	if p.varsAcct != nil {
 		s.VarsTracked = p.varsAcct.VarsTracked()
+	}
+	s.ThreadSlots, s.LiveThreads = int(p.nextThread), int(p.nextThread)
+	if p.reuser != nil {
+		s.LiveThreads = p.reuser.LiveThreads()
 	}
 	if p.memory != nil {
 		s.MetadataWords = p.memory.MetadataWords()

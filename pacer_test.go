@@ -283,7 +283,7 @@ func TestDescribeWithLabels(t *testing.T) {
 }
 
 func TestReuseThreadIDsKeepsWidthBounded(t *testing.T) {
-	d := pacer.New(pacer.Options{SamplingRate: 0.5, PeriodOps: 16, ReuseThreadIDs: true})
+	d := pacer.New(pacer.Options{SamplingRate: 0.5, PeriodOps: 16})
 	main := d.NewThread()
 	v := d.NewVarID()
 	mu := d.NewMutex()
@@ -296,18 +296,46 @@ func TestReuseThreadIDsKeepsWidthBounded(t *testing.T) {
 		d.Write(w, v, 2)
 		mu.Unlock(w)
 		d.Join(main, w)
-		// Main touches the lock so its version epoch stops naming w.
-		mu.Lock(main)
-		mu.Unlock(main)
 	}
 	if len(seen) > 20 {
 		t.Errorf("%d distinct thread ids across 200 generations; reuse ineffective", len(seen))
+	}
+	if st := d.Stats(); st.ThreadSlots != len(seen) || st.LiveThreads != 1 {
+		t.Errorf("Stats: %d thread slots, %d live; want %d, 1", st.ThreadSlots, st.LiveThreads, len(seen))
+	}
+}
+
+// TestExitReusesThreadIDs: a thread that exits without a join hands its
+// identifier to a later fork once the parent is ordered after it — here
+// through a lock, the shape of a goroutine handing its result back.
+func TestExitReusesThreadIDs(t *testing.T) {
+	d := pacer.New(pacer.Options{SamplingRate: 1.0, OnRace: func(r pacer.Race) { t.Errorf("false positive %v", r) }})
+	main := d.NewThread()
+	v := d.NewVarID()
+	mu := d.NewMutex()
+	w := d.Fork(main)
+	mu.Lock(w)
+	d.Write(w, v, 1)
+	mu.Unlock(w)
+	d.Exit(w)
+	if u := d.Fork(main); u == w {
+		t.Fatal("slot reused before the parent was ordered after the exited thread")
+	}
+	mu.Lock(main)
+	d.Read(main, v, 2)
+	mu.Unlock(main)
+	if u := d.Fork(main); u != w {
+		t.Fatalf("Fork after the handoff returned %d, want the exited thread's %d", u, w)
+	}
+	if st := d.Stats(); st.ThreadSlots != 3 || st.LiveThreads != 3 || st.SyncOps != 7 {
+		t.Errorf("Stats: %d slots, %d live, %d sync ops; want 3, 3, 7 (exits are not ops)",
+			st.ThreadSlots, st.LiveThreads, st.SyncOps)
 	}
 }
 
 func TestReuseThreadIDsStillDetectsRaces(t *testing.T) {
 	found := 0
-	d := pacer.New(pacer.Options{SamplingRate: 1.0, ReuseThreadIDs: true, OnRace: func(pacer.Race) { found++ }})
+	d := pacer.New(pacer.Options{SamplingRate: 1.0, OnRace: func(pacer.Race) { found++ }})
 	main := d.NewThread()
 	v := d.NewVarID()
 	for gen := 0; gen < 10; gen++ {
@@ -327,6 +355,34 @@ func TestReuseThreadIDsStillDetectsRaces(t *testing.T) {
 	d.Write(loner, v, 1000)
 	if found == 0 {
 		t.Error("race with reused-slot thread missed")
+	}
+}
+
+// TestExitReuseKeepsRaces: an exited thread that learned of another
+// thread's write after its last publication cannot hand its slot to the
+// child of a parent that never saw that write, so the child's conflicting
+// write is still reported.
+func TestExitReuseKeepsRaces(t *testing.T) {
+	var races []pacer.Race
+	d := pacer.New(pacer.Options{SamplingRate: 1.0, OnRace: func(r pacer.Race) { races = append(races, r) }})
+	main := d.NewThread()
+	x := d.NewVarID()
+	pub, handoff := d.NewMutex(), d.NewMutex()
+	w1, w2 := d.Fork(main), d.Fork(main)
+	d.Write(w2, x, 1)
+	handoff.Lock(w2)
+	handoff.Unlock(w2)
+	pub.Lock(w1) // w1's publication
+	pub.Unlock(w1)
+	handoff.Lock(w1) // w1 learns of w2's write afterwards
+	handoff.Unlock(w1)
+	d.Exit(w1)
+	pub.Lock(main) // main is ordered after w1's publication only
+	pub.Unlock(main)
+	c := d.Fork(main)
+	d.Write(c, x, 2)
+	if len(races) != 1 || races[0].FirstSite != 1 || races[0].SecondSite != 2 {
+		t.Fatalf("races %v; want the one write-write race between sites 1 and 2", races)
 	}
 }
 
